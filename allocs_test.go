@@ -81,11 +81,13 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 // TestCampaignAllocCeilings pins whole-campaign allocation budgets at the
 // benchmark sizings, so campaign-level garbage (error wrapping on rejected
 // frames, queue regrowth, unshared session heads) cannot silently return.
-// The ceilings sit ~15% above the measured counts: Table I ~530 (was
-// 14 408 before the IK-failure errors became sentinels), fault campaign
-// ~7 000 (was 62 759 before the transport FIFOs reused their backing
-// arrays), mitigation sweep ~6 880 (above the 5 370 straight baseline —
-// the snapshot/fork engine allocates more but runs 1.3x faster).
+// The ceilings sit above the measured counts: Table I ~520 (was 14 408
+// before the IK-failure errors became sentinels), fault campaign ~6 950
+// (was 62 759 before the transport FIFOs reused their backing arrays),
+// mitigation sweep ~6 050 (above the 5 370 straight baseline — the
+// snapshot/fork engine allocates more but runs 1.3x faster). The fan-outs
+// build a fleet.Worker per cohort; its two batch steppers cost a few
+// slab allocations each.
 func TestCampaignAllocCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole campaigns; skipped with -short")

@@ -8,6 +8,7 @@ import (
 	"ravenguard/internal/control"
 	"ravenguard/internal/core"
 	"ravenguard/internal/fault"
+	"ravenguard/internal/fleet"
 	"ravenguard/internal/mathx"
 	"ravenguard/internal/metrics"
 	"ravenguard/internal/sim"
@@ -209,72 +210,6 @@ func campaignPlan(k fault.Kind, seed int64) fault.Plan {
 	return fault.Plan{Seed: seed, Events: []fault.Event{e}}
 }
 
-// runOne executes one seeded run of kind k under policy pol. A panic
-// anywhere in the pipeline is caught and reported as a crashed run.
-func (c FaultCampaignConfig) runOne(k fault.Kind, pol GuardPolicy, seedIdx int) (rec faultRun, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rec = faultRun{crashed: true}
-			err = nil
-		}
-	}()
-
-	rigSeed := c.BaseSeed + int64(seedIdx)
-	ref, err := (Trial{Seed: rigSeed, TrajIdx: 0, Teleop: c.Teleop}).reference()
-	if err != nil {
-		return rec, err
-	}
-
-	cfg := sim.Config{
-		Seed:   rigSeed,
-		Script: console.StandardScript(c.Teleop),
-		Traj:   trajectory.Standard()[0],
-	}
-	var guard *core.Guard
-	if pol != PolicyOff {
-		guard, err = core.NewGuard(core.Config{
-			Thresholds: core.DefaultThresholds(),
-			Mode:       pol.guardMode(),
-		})
-		if err != nil {
-			return rec, err
-		}
-		cfg.Guards = append(cfg.Guards, guard)
-	}
-	// Apply after the guard so the write-path faulter lands below it, at
-	// the bus.
-	inj, err := campaignPlan(k, c.BaseSeed*1000+int64(seedIdx)).Apply(&cfg)
-	if err != nil {
-		return rec, err
-	}
-	rig, err := sim.New(cfg)
-	if err != nil {
-		return rec, err
-	}
-
-	halted, step := false, 0
-	rig.Observe(func(si sim.StepInfo) {
-		if !halted && step < len(ref) {
-			if d := si.TipTrue.DistanceTo(ref[step]); d > rec.maxDev {
-				rec.maxDev = d
-			}
-		}
-		if si.PLCEStop {
-			halted = true
-		}
-		step++
-	})
-	if _, err := rig.Run(0); err != nil {
-		return rec, err
-	}
-
-	rec.applied = inj.Total()
-	rec.alarm = guard != nil && guard.Alarms() > 0
-	rec.halted = rig.PLC().EStopped() || rig.Controller().State() == statemachine.EStop
-	rec.impact = rec.maxDev > AdverseJumpThreshold
-	return rec, nil
-}
-
 // classifyFaultOutcome maps one run to its outcome. truthImpact is the
 // adverse impact the same fault caused in the unguarded run.
 func classifyFaultOutcome(rec faultRun, truthImpact bool) FaultOutcome {
@@ -315,8 +250,8 @@ func (c *FaultCampaignConfig) applyDefaults() {
 // it at the fork point. The fan job then forks the snapshot into one rig
 // per fault kind — each with only its own kind's plan, which restores
 // cleanly because per-boundary fault rng streams derive from Plan.Seed
-// alone — and steps them together through the structure-of-arrays batch
-// stepper. Classification walks the records single-threaded in the fixed
+// alone — and steps them together as one fleet.Worker cohort.
+// Classification walks the records single-threaded in the fixed
 // legacy matrix order, so the same configuration reproduces the identical
 // matrix at any worker count, byte-for-byte equal to running every cell
 // straight through.
@@ -501,7 +436,7 @@ func (c FaultCampaignConfig) campaignRig(plan fault.Plan, pol GuardPolicy, seedI
 }
 
 // campaignFan forks one group's snapshot into a rig per fault kind and
-// steps the cohort in lockstep through the batch stepper. If anything in
+// steps the cohort in lockstep on a fleet.Worker. If anything in
 // the shared cohort panics, it falls back to running each kind's
 // continuation individually so the crash lands on the kind that caused it
 // (legacy per-run semantics).
@@ -526,9 +461,10 @@ func (c FaultCampaignConfig) campaignFan(kinds []fault.Kind, p fcPrefix) ([]faul
 	return recs, nil
 }
 
-// fanContinue restores one kind's rig from the group snapshot and attaches
-// the continuation observer (seeded with the carried prefix state).
-func (c FaultCampaignConfig) fanContinue(k fault.Kind, p fcPrefix, rec *faultRun) (*sim.Rig, func(), error) {
+// fanContinue restores one kind's rig from the group snapshot, attaches
+// the continuation observer (seeded with the carried prefix state), and
+// wraps rig and guard as a fleet session.
+func (c FaultCampaignConfig) fanContinue(k fault.Kind, p fcPrefix, rec *faultRun) (*fleet.Session, func(), error) {
 	plan := campaignPlan(k, c.BaseSeed*1000+int64(p.seedIdx))
 	rig, guard, inj, err := c.campaignRig(plan, p.pol, p.seedIdx)
 	if err != nil {
@@ -556,17 +492,17 @@ func (c FaultCampaignConfig) fanContinue(k fault.Kind, p fcPrefix, rec *faultRun
 		rec.halted = rig.PLC().EStopped() || rig.Controller().State() == statemachine.EStop
 		rec.impact = rec.maxDev > AdverseJumpThreshold
 	}
-	return rig, finish, nil
+	return fleet.Adopt(rig, guard), finish, nil
 }
 
 // fanLockstep runs every kind's continuation together. Construction errors
 // propagate; a panic anywhere mid-cohort returns ok=false (the cohort's
 // rigs are unsalvageable, the caller reruns kinds individually).
 func (c FaultCampaignConfig) fanLockstep(kinds []fault.Kind, p fcPrefix, recs []faultRun) (ok bool, err error) {
-	rigs := make([]*sim.Rig, len(kinds))
+	forks := make([]*fleet.Session, len(kinds))
 	finishers := make([]func(), len(kinds))
 	for i, k := range kinds {
-		rigs[i], finishers[i], err = c.fanContinue(k, p, &recs[i])
+		forks[i], finishers[i], err = c.fanContinue(k, p, &recs[i])
 		if err != nil {
 			return false, err
 		}
@@ -576,7 +512,7 @@ func (c FaultCampaignConfig) fanLockstep(kinds []fault.Kind, p fcPrefix, recs []
 			ok, err = false, nil
 		}
 	}()
-	if err := sim.RunLockstep(rigs); err != nil {
+	if err := fleet.RunCohort(forks); err != nil {
 		return false, err
 	}
 	for _, finish := range finishers {
@@ -594,97 +530,15 @@ func (c FaultCampaignConfig) fanOne(k fault.Kind, p fcPrefix) (rec faultRun) {
 			rec = faultRun{crashed: true}
 		}
 	}()
-	rig, finish, err := c.fanContinue(k, p, &rec)
+	fork, finish, err := c.fanContinue(k, p, &rec)
 	if err != nil {
 		return faultRun{crashed: true}
 	}
-	if _, err := rig.Run(0); err != nil {
+	if _, err := fork.Rig().Run(0); err != nil {
 		return faultRun{crashed: true}
 	}
 	finish()
 	return rec
-}
-
-// runFaultCampaignStraight is the pre-forking implementation: every
-// (kind, policy, seed) run simulates its full session from t=0. Kept as
-// the byte-identity oracle and the "before" baseline for the campaign
-// benchmarks.
-func runFaultCampaignStraight(c FaultCampaignConfig) (FaultCampaignResult, error) {
-	if c.Seeds <= 0 {
-		c.Seeds = 3
-	}
-	if c.Teleop <= 0 {
-		c.Teleop = 6
-	}
-	kinds := c.Kinds
-	if len(kinds) == 0 {
-		kinds = fault.AllKinds()
-	}
-
-	type faultJob struct {
-		kind fault.Kind
-		pol  GuardPolicy
-		seed int
-	}
-	jobs := make([]faultJob, 0, len(kinds)*len(AllPolicies())*c.Seeds)
-	for _, k := range kinds {
-		for _, pol := range AllPolicies() {
-			for s := 0; s < c.Seeds; s++ {
-				jobs = append(jobs, faultJob{k, pol, s})
-			}
-		}
-	}
-	recs, err := runJobs(len(jobs), func(i int) (faultRun, error) {
-		j := jobs[i]
-		rec, err := c.runOne(j.kind, j.pol, j.seed)
-		if err != nil {
-			return faultRun{}, fmt.Errorf("experiment: fault campaign %v/%v seed %d: %w", j.kind, j.pol, j.seed, err)
-		}
-		return rec, nil
-	})
-	if err != nil {
-		return FaultCampaignResult{}, err
-	}
-
-	var out FaultCampaignResult
-	idx := 0
-	for range kinds {
-		truth := make([]bool, c.Seeds)
-		for _, pol := range AllPolicies() {
-			cell := FaultCell{Kind: jobs[idx].kind, Policy: pol, Seeds: c.Seeds}
-			for s := 0; s < c.Seeds; s++ {
-				rec := recs[idx]
-				idx++
-				if pol == PolicyOff {
-					truth[s] = rec.impact
-				}
-				switch classifyFaultOutcome(rec, truth[s]) {
-				case OutcomeCrash:
-					cell.Crashes++
-				case OutcomeFalseAlarm:
-					cell.FalseAlarms++
-				case OutcomeEStop:
-					cell.EStops++
-				case OutcomeMissedImpact:
-					cell.Missed++
-				case OutcomeRodeThrough:
-					cell.RodeThrough++
-				}
-				if rec.alarm {
-					cell.Detected++
-				}
-				cell.FaultsApplied += rec.applied
-				if mm := rec.maxDev * 1e3; mm > cell.MaxDevMM {
-					cell.MaxDevMM = mm
-				}
-				if pol != PolicyOff && !rec.crashed {
-					out.Confusion.Observe(truth[s], rec.alarm)
-				}
-			}
-			out.Cells = append(out.Cells, cell)
-		}
-	}
-	return out, nil
 }
 
 // mergeFaultCampaignResults combines the partial matrices of two adjacent

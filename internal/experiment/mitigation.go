@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"ravenguard/internal/core"
+	"ravenguard/internal/fleet"
 	"ravenguard/internal/inject"
 	"ravenguard/internal/mathx"
 	"ravenguard/internal/sim"
@@ -241,8 +242,9 @@ func observeMitigation(rig *sim.Rig, ref []mathx.Vec3, st *mitState, rec *mitiga
 }
 
 // mitigationSessionRig builds one attacked session rig with the given
-// injection value (mirrors runMitigationOne's construction).
-func mitigationSessionRig(cfg MitigationConfig, mode core.Mode, i int, value int16) (*sim.Rig, error) {
+// injection value (mirrors runMitigationOne's construction) and returns it
+// with its guard (nil for the unguarded arm).
+func mitigationSessionRig(cfg MitigationConfig, mode core.Mode, i int, value int16) (*sim.Rig, *core.Guard, error) {
 	trial := Trial{Seed: cfg.BaseSeed + int64(8000+i%37), TrajIdx: i % 2}
 	simCfg := sim.Config{
 		Seed:   trial.Seed,
@@ -257,20 +259,25 @@ func mitigationSessionRig(cfg MitigationConfig, mode core.Mode, i int, value int
 		Seed:            int64(i),
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	simCfg.Preload = append(simCfg.Preload, inj)
+	var guard *core.Guard
 	if mode != 0 {
-		guard, err := core.NewGuard(core.Config{
+		guard, err = core.NewGuard(core.Config{
 			Thresholds: core.DefaultThresholds(),
 			Mode:       mode,
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		simCfg.Guards = append(simCfg.Guards, guard)
 	}
-	return sim.New(simCfg)
+	rig, err := sim.New(simCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rig, guard, nil
 }
 
 // mitPrefix is one (arm, attack) group's shared session head. The rig it
@@ -279,11 +286,12 @@ func mitigationSessionRig(cfg MitigationConfig, mode core.Mode, i int, value int
 // with values[0] and already sits at the fork state, so the fan continues
 // it as the first fork lane instead of building and restoring a fresh rig.
 type mitPrefix struct {
-	rig  *sim.Rig
-	snap sim.Snapshot
-	ref  []mathx.Vec3
-	rec  *mitigationRun // partial lag/jump maxima at the fork point
-	st   *mitState
+	rig   *sim.Rig
+	guard *core.Guard
+	snap  sim.Snapshot
+	ref   []mathx.Vec3
+	rec   *mitigationRun // partial lag/jump maxima at the fork point
+	st    *mitState
 }
 
 // MitigationSweepJobs is the size of the sweep's shardable job space: one
@@ -320,7 +328,7 @@ type MitigationPartial struct {
 // injector writes once it activates — and every injector is still dormant
 // at mitigationPrefixSteps — so each (arm, attack) session head is
 // simulated once, snapshotted, and forked into one rig per value; the
-// forks then step together through the structure-of-arrays batch stepper.
+// forks then step together as one fleet.Worker cohort.
 func RunMitigationSweep(values []int16, cfg MitigationConfig) ([]MitigationResult, error) {
 	cfg.applyDefaults()
 	p, err := RunMitigationSweepRange(values, cfg, 0, cfg.Attacks)
@@ -356,7 +364,7 @@ func RunMitigationSweepRange(values []int16, cfg MitigationConfig, lo, hi int) (
 				return p, err
 			}
 			p.ref = ref
-			rig, err := mitigationSessionRig(cfg, mode, i, values[0])
+			rig, guard, err := mitigationSessionRig(cfg, mode, i, values[0])
 			if err != nil {
 				return p, err
 			}
@@ -364,7 +372,7 @@ func RunMitigationSweepRange(values []int16, cfg MitigationConfig, lo, hi int) (
 			if _, err := rig.Run(mitigationPrefixSteps); err != nil {
 				return p, err
 			}
-			p.rig = rig
+			p.rig, p.guard = rig, guard
 			if len(values) > 1 {
 				p.snap, err = rig.Snapshot()
 			}
@@ -373,15 +381,15 @@ func RunMitigationSweepRange(values []int16, cfg MitigationConfig, lo, hi int) (
 		func(int) int { return 1 },
 		func(g, _ int, p mitPrefix) ([]mitigationRun, error) {
 			mode, i := arms[g/span].mode, lo+g%span
-			rigs := make([]*sim.Rig, len(values))
+			forks := make([]*fleet.Session, len(values))
 			recs := make([]mitigationRun, len(values))
 			states := make([]mitState, len(values))
 			// The prefix rig was built with values[0] and is already at the
 			// fork state: continue it as lane 0 (its observer keeps writing
 			// into p.rec/p.st). The remaining values fork via the snapshot.
-			rigs[0] = p.rig
+			forks[0] = fleet.Adopt(p.rig, p.guard)
 			for vi := 1; vi < len(values); vi++ {
-				rig, err := mitigationSessionRig(cfg, mode, i, values[vi])
+				rig, guard, err := mitigationSessionRig(cfg, mode, i, values[vi])
 				if err != nil {
 					return nil, err
 				}
@@ -391,13 +399,14 @@ func RunMitigationSweepRange(values []int16, cfg MitigationConfig, lo, hi int) (
 				recs[vi] = *p.rec
 				states[vi] = *p.st // arrays copy by value: each fork owns its ring
 				observeMitigation(rig, p.ref, &states[vi], &recs[vi])
-				rigs[vi] = rig
+				forks[vi] = fleet.Adopt(rig, guard)
 			}
-			if err := sim.RunLockstep(rigs); err != nil {
+			if err := fleet.RunCohort(forks); err != nil {
 				return nil, err
 			}
 			recs[0] = *p.rec
-			for vi, rig := range rigs {
+			for vi, f := range forks {
+				rig := f.Rig()
 				recs[vi].completed = !rig.PLC().EStopped() && rig.Controller().State() != statemachine.EStop
 			}
 			return recs, nil

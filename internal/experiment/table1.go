@@ -223,74 +223,6 @@ func table1PrefixSteps(v inject.Variant) int {
 	}
 }
 
-// runTable1Straight is the pre-forking implementation: one full attacked
-// session plus one full fault-free reference per variant, no shared
-// prefix. Kept as the byte-identity oracle and the "before" baseline for
-// the campaign benchmarks.
-func runTable1Straight(baseSeed int64) (Table1Result, error) {
-	variants := inject.AllVariants()
-	rows, err := runJobs(len(variants), func(i int) (Table1Row, error) {
-		return table1Row(baseSeed, variants[i])
-	})
-	if err != nil {
-		return Table1Result{}, err
-	}
-	return Table1Result{Rows: rows}, nil
-}
-
-// table1Row runs one variant's session and classifies its impact.
-func table1Row(baseSeed int64, v inject.Variant) (Table1Row, error) {
-	cfg := sim.Config{
-		Seed:   baseSeed + int64(v),
-		Script: console.StandardScript(6),
-		Traj:   trajectory.Standard()[0],
-	}
-	vc := inject.VariantConfig{Variant: v, StartAt: 4.0, Seed: int64(v)}
-	installed, err := vc.Apply(&cfg)
-	if err != nil {
-		return Table1Row{}, err
-	}
-	rig, err := sim.New(cfg)
-	if err != nil {
-		return Table1Row{}, err
-	}
-
-	// Reference trace for deviation classification.
-	refTrial := Trial{Seed: cfg.Seed, TrajIdx: 0, Teleop: 6}
-	ref, err := refTrial.reference()
-	if err != nil {
-		return Table1Row{}, err
-	}
-
-	row := Table1Row{Variant: v, Installed: installed}
-	step := 0
-	halted := false
-	brakedInDown := 0
-	rig.Observe(func(si sim.StepInfo) {
-		if !halted && step < len(ref) {
-			if d := si.TipTrue.DistanceTo(ref[step]); d > row.MaxDevMM/1e3 {
-				row.MaxDevMM = d * 1e3
-			}
-		}
-		if si.PLCEStop {
-			halted = true
-		}
-		if si.Ctrl.State == statemachine.PedalDown && rig.PLC().BrakesEngaged() {
-			brakedInDown++
-		}
-		step++
-	})
-	if _, err := rig.Run(0); err != nil {
-		return Table1Row{}, err
-	}
-	row.FinalState = rig.Controller().State()
-	row.IKFails = rig.Controller().IKFails()
-	row.SafetyTrips = rig.Controller().SafetyTrips()
-	row.PLCEStopped = rig.PLC().EStopped()
-	row.Impact = classifyImpact(row, brakedInDown)
-	return row, nil
-}
-
 // classifyImpact maps run observables to the paper's impact labels. The
 // order matters: root causes (IK failure, brake desync, lost console) are
 // reported ahead of their downstream symptoms (deviation from the

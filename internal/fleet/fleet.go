@@ -7,12 +7,17 @@
 // Sessions are sharded round-robin across per-core workers. Each worker
 // keeps its sessions' plants resident in the lanes of one
 // structure-of-arrays stepper (robot.LaneSet) and drives every control
-// period as a single lockstep sweep: all sessions' control halves
-// (sim.Rig.StepControl), one fused batch integration of every unbraked
-// plant, then all bookkeeping halves (sim.Rig.FinishStep) with per-session
-// guard decisions folded into a running digest. Admission and retirement
-// are dynamic — lanes compact by swaps on session exit — and the
-// steady-state tick path is allocation-free.
+// period as a single lockstep sweep: all sessions' command halves
+// (sim.Rig.StepCommand), one fused prediction sweep for the guards, all
+// supervision halves (sim.Rig.StepSupervise), one fused batch integration
+// of every unbraked plant, then all bookkeeping halves (sim.Rig.FinishStep)
+// with per-session guard decisions folded into a running digest. Admission
+// and retirement are dynamic — lanes compact by swaps on session exit —
+// and the steady-state tick path is allocation-free.
+//
+// The same Worker runs the experiment campaigns' fan-outs: Adopt wraps
+// each forked rig as a session and RunCohort steps the cohort to the end
+// of its scripts.
 //
 // Determinism: a session run inside a packed fleet produces byte-identical
 // guard verdicts and tip trajectories to the same Spec run alone
@@ -196,6 +201,42 @@ func (s *Session) Note(si sim.StepInfo) {
 	}
 	s.dig.Note(si, v)
 	s.ticks++
+}
+
+// Adopt wraps an already-built rig and its guard (nil when unguarded) as a
+// session, for callers that assemble rigs themselves — campaign forks
+// restored from a snapshot, observers attached. The session's Spec is the
+// zero value and Injected reports 0.
+func Adopt(rig *sim.Rig, guard *core.Guard) *Session {
+	return &Session{rig: rig, guard: guard, dig: NewDigest()}
+}
+
+// RunCohort admits every session whose script has not ended to one fresh
+// Worker and ticks it until none is resident — the lockstep engine behind
+// the campaign fan-outs. Each session's trajectory is bit-identical to
+// driving its rig alone with Rig.Run.
+func RunCohort(sessions []*Session) error {
+	if len(sessions) == 0 {
+		return nil
+	}
+	w, err := NewWorker(len(sessions), nil)
+	if err != nil {
+		return err
+	}
+	for _, s := range sessions {
+		if s.rig.Done() {
+			continue
+		}
+		if err := w.Admit(s); err != nil {
+			return err
+		}
+	}
+	for w.Resident() > 0 {
+		if err := w.Tick(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RunStandalone builds the spec and drives it alone with Rig.Step — the

@@ -148,7 +148,7 @@ func (w *Worker) Tick() error {
 
 	// Supervision halves: PLC status tick and brake command, after every
 	// held frame has reached its board — the same frame/supervision order
-	// the scalar StepControl path observes.
+	// the scalar Rig.Step path observes.
 	for lane := 0; lane < n; lane++ {
 		w.byLane[lane].rig.StepSupervise()
 	}

@@ -6,6 +6,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -153,8 +154,8 @@ type Rig struct {
 	inBuf control.Input //ravenlint:snapshot-ignore per-step scratch, fully rewritten each step
 	fbBuf usb.Feedback  //ravenlint:snapshot-ignore per-step scratch, fully rewritten each step
 
-	// pending carries the control-phase results of a split step between
-	// StepControl and FinishStep (see RunLockstep).
+	// pending carries the control-phase results of a split step from
+	// StepCommand to FinishStep; ResumeWrite may clear its Wrote flag.
 	pending pendingStep //ravenlint:snapshot-ignore intra-step scratch; snapshots are taken at step boundaries
 }
 
@@ -340,35 +341,22 @@ type pendingStep struct {
 	fbDropped bool
 }
 
-// Step advances the whole system by one control period.
+// Step advances the whole system by one control period: the control half
+// (StepCommand, StepSupervise), the plant physics, and FinishStep. Callers
+// that integrate many rigs' plants together (the fleet worker) run the
+// same phases themselves, advancing each plant through a robot.LaneSet
+// lane instead of Plant.Step.
 //
 //ravenlint:noalloc
 func (r *Rig) Step() (StepInfo, error) {
-	const dt = control.Period
-	if err := r.StepControl(); err != nil {
+	if err := r.StepCommand(); err != nil {
 		return StepInfo{}, err
 	}
+	r.StepSupervise()
 	// 6. Physics: one control period of dynamics driven by whatever DACs
 	// the board latched (post-attack values).
-	r.plant.Step(r.board.DACs(), dt)
+	r.plant.Step(r.board.DACs(), control.Period)
 	return r.FinishStep(), nil
-}
-
-// StepControl runs the control half of one step — console, transport,
-// feedback read, control cycle, PLC supervision, brake command — up to (but
-// not including) the plant physics. Callers that integrate many rigs'
-// plants together (RunLockstep, the fleet engine) use the split: after
-// StepControl, advance the plant by one control period however you like —
-// Plant.Step, robot.Batch, or a robot.LaneSet lane — then call FinishStep.
-// Step is StepControl + Plant.Step + FinishStep.
-//
-//ravenlint:noalloc
-func (r *Rig) StepControl() error {
-	if err := r.StepCommand(); err != nil {
-		return err
-	}
-	r.StepSupervise()
-	return nil
 }
 
 // StepCommand runs the command phase of the control half: console,
@@ -377,7 +365,7 @@ func (r *Rig) StepControl() error {
 // frame may be left parked (interpose.Hold) — the caller must finish the
 // write with ResumeWrite before StepSupervise, so the PLC supervises the
 // status byte the delivered frame produced, exactly as in the unsplit
-// path. StepControl is StepCommand + StepSupervise.
+// path.
 //
 //ravenlint:noalloc
 func (r *Rig) StepCommand() error {
@@ -481,12 +469,25 @@ func (r *Rig) StepSupervise() {
 // continues to the wrappers below the guard and the board. Callers run it
 // between StepCommand and StepSupervise.
 //
+// Only held-frame protocol errors (interpose.ErrHeldFrame) are returned.
+// A board that rejects the resumed frame (stalled, or handed a malformed
+// frame) is absorbed the way Controller.Tick absorbs it on the unsplit
+// path: the step's output records Wrote=false and the session goes on.
+//
 //ravenlint:noalloc
-func (r *Rig) ResumeWrite() error { return r.chain.ResumeHeld() }
+func (r *Rig) ResumeWrite() error {
+	if err := r.chain.ResumeHeld(); err != nil {
+		if errors.Is(err, interpose.ErrHeldFrame) {
+			return err
+		}
+		r.pending.out.Wrote = false
+	}
+	return nil
+}
 
 // FinishStep runs the bookkeeping half of one step, after the plant
 // physics: encoder latch, clock advance, StepInfo assembly, observers. It
-// must only be called after a matching StepControl.
+// must only be called after a matching StepCommand and StepSupervise.
 //
 //ravenlint:noalloc
 func (r *Rig) FinishStep() StepInfo {

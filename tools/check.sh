@@ -151,11 +151,12 @@ grep "^session [0-9]" "$sharddir/fleet.txt" |
 # Guard-batch equivalence guard: the worker's fused guard-prediction sweep
 # must stay bit-identical to the scalar in-line path across its edges —
 # feedback gaps with model resync, hold-safe engagement, mid-run
-# admission, post-retirement lane compaction — and a steady-state fleet
-# tick (held-frame resumes included) must stay allocation-free.
+# admission, post-retirement lane compaction, board stalls rejecting
+# resumed frames in a campaign cohort — and a steady-state fleet tick
+# (held-frame resumes included) must stay allocation-free.
 stage="guard-batch equivalence guard"
 echo "==> guard-batch equivalence guard"
-go test -run 'TestGuardBatchMatchesScalarAcrossEdges' -count 1 ./internal/fleet/
+go test -run 'TestGuardBatchMatchesScalarAcrossEdges|TestCohortMatchesSoloRuns' -count 1 ./internal/fleet/
 go test -run 'TestFleetTickDoesNotAllocate' -count 1 .
 
 # Allocation-regression guard: steady-state batch stepping must stay at
