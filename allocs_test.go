@@ -5,6 +5,7 @@
 package ravenguard
 
 import (
+	"runtime"
 	"testing"
 
 	"ravenguard/internal/core"
@@ -14,6 +15,7 @@ import (
 	"ravenguard/internal/interpose"
 	"ravenguard/internal/kinematics"
 	"ravenguard/internal/malware"
+	"ravenguard/internal/statemachine"
 	"ravenguard/internal/usb"
 )
 
@@ -190,4 +192,61 @@ func TestFleetTickDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestFleetTripTicksDoNotAllocate covers the window the steady-state test
+// above warms past: every worker tick from an attack's onset through
+// RAVEN's software safety trip and the E-STOP it causes must not allocate
+// — the trip's cause is a plain value, formatted only on demand. The
+// attacked session is fleet-guarded's scenario A under hold-safe, beside
+// a clean and a mitigating neighbour.
+func TestFleetTripTicksDoNotAllocate(t *testing.T) {
+	w, err := fleet.NewWorker(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []fleet.Spec{
+		{Seed: 4, TeleopSeconds: 4, Guard: "holdsafe",
+			Attack: "A", AttackMagnitude: 0.004, AttackDelay: 150, AttackDuration: 64},
+		{Seed: 5, TeleopSeconds: 4},
+		{Seed: 6, TeleopSeconds: 4, Guard: "mitigate"},
+	}
+	var attacked *fleet.Session
+	for i, sp := range specs {
+		s, err := sp.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Admit(s); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			attacked = s
+		}
+	}
+	for attacked.Injected() == 0 {
+		if w.Resident() == 0 {
+			t.Fatal("the attack never started")
+		}
+		if err := w.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctrl := attacked.Rig().Controller()
+	var before, after runtime.MemStats
+	for tick := 0; ctrl.SafetyTrips() == 0 || ctrl.State() != statemachine.EStop; tick++ {
+		if tick == 1000 {
+			t.Fatalf("no safety trip into E-STOP within %d ticks of the attack's onset (trips %d, state %v)",
+				tick, ctrl.SafetyTrips(), ctrl.State())
+		}
+		runtime.ReadMemStats(&before)
+		if err := w.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("tick %d after the attack's onset allocated %d times, want 0", tick, n)
+		}
+	}
 }

@@ -212,8 +212,9 @@ func TestControllerDACSafetyCheckTripsAndLatches(t *testing.T) {
 	if !out.Unsafe {
 		t.Fatal("safety check did not trip")
 	}
-	if !strings.Contains(out.UnsafeWhy, "DAC") {
-		t.Fatalf("cause = %q", out.UnsafeWhy)
+	if why := out.UnsafeWhy; why.Kind != TripDAC || why.Channel != 0 || why.Limit != 20000 ||
+		!strings.HasPrefix(why.String(), "DAC channel 0 value ") {
+		t.Fatalf("cause = %+v (%q)", why, why)
 	}
 	if out.State != statemachine.EStop {
 		t.Fatalf("state = %v, want E-STOP", out.State)

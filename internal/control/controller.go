@@ -114,15 +114,46 @@ func (c *Config) applyDefaults() {
 type Output struct {
 	State      statemachine.State
 	DAC        [usb.NumChannels]int16
-	Unsafe     bool   // software safety check failed this cycle
-	UnsafeWhy  string // cause, when Unsafe
-	Watchdog   bool   // watchdog bit value written
+	Unsafe     bool       // software safety check failed this cycle
+	UnsafeWhy  SafetyTrip // cause, when Unsafe
+	Watchdog   bool       // watchdog bit value written
 	JposD      kinematics.JointPos
 	MposD      kinematics.MotorPos
 	JposEst    kinematics.JointPos // estimate from encoder feedback
 	MposEst    kinematics.MotorPos
 	TipDesired mathx.Vec3
 	Wrote      bool // a command frame was pushed down the write chain
+}
+
+// TripKind names which of RAVEN's software safety checks failed.
+type TripKind uint8
+
+const (
+	TripNone      TripKind = iota
+	TripDAC                // a DAC value exceeded its channel's threshold
+	TripWorkspace          // the desired joints left the workspace
+)
+
+// SafetyTrip is the cause of a failed software safety check. It is a
+// plain value, formatted only by String, so a control cycle that trips
+// does not allocate.
+type SafetyTrip struct {
+	Kind    TripKind
+	Channel int                 // DAC channel, for TripDAC
+	Value   int16               // commanded DAC value, for TripDAC
+	Limit   int16               // the channel's threshold, for TripDAC
+	Joints  kinematics.JointPos // desired joints, for TripWorkspace
+}
+
+// String describes the trip, or returns "" for TripNone.
+func (t SafetyTrip) String() string {
+	switch t.Kind {
+	case TripDAC:
+		return fmt.Sprintf("DAC channel %d value %d exceeds threshold %d", t.Channel, t.Value, t.Limit)
+	case TripWorkspace:
+		return fmt.Sprintf("desired joints %v outside workspace", t.Joints)
+	}
+	return ""
 }
 
 // Controller is the RAVEN control software node. Not safe for concurrent
@@ -334,11 +365,11 @@ func (c *Controller) Tick(in Input, feedback usb.Feedback, estopFromPLC bool) Ou
 	}
 
 	// --- RAVEN's built-in software safety checks (time of check) ---
-	unsafe, why := false, ""
+	var why SafetyTrip
 	if !c.cfg.SafetyChecksOff {
-		unsafe, why = c.safetyCheck(dac)
+		why = c.safetyCheck(dac)
 	}
-	if unsafe {
+	if why.Kind != TripNone {
 		c.safetyTrips++
 		c.unsafeHit = true
 		out.Unsafe = true
@@ -447,17 +478,18 @@ func (c *Controller) updateTeleop(in Input) {
 }
 
 // safetyCheck reproduces RAVEN's pre-write checks: DAC magnitude against a
-// fixed threshold and the desired joints against the workspace.
-func (c *Controller) safetyCheck(dac [usb.NumChannels]int16) (bool, string) {
+// fixed threshold and the desired joints against the workspace. It
+// returns the first failure, or a TripNone trip.
+func (c *Controller) safetyCheck(dac [usb.NumChannels]int16) SafetyTrip {
 	for i := 0; i < kinematics.NumJoints; i++ {
 		if dac[i] > c.cfg.DACLimits[i] || dac[i] < -c.cfg.DACLimits[i] {
-			return true, fmt.Sprintf("DAC channel %d value %d exceeds threshold %d", i, dac[i], c.cfg.DACLimits[i])
+			return SafetyTrip{Kind: TripDAC, Channel: i, Value: dac[i], Limit: c.cfg.DACLimits[i]}
 		}
 	}
 	if !c.cfg.Limits.Contains(c.jposD) {
-		return true, fmt.Sprintf("desired joints %v outside workspace", c.jposD)
+		return SafetyTrip{Kind: TripWorkspace, Joints: c.jposD}
 	}
-	return false, ""
+	return SafetyTrip{}
 }
 
 // gravityFeedforward computes the nominal gravity-compensation torque for

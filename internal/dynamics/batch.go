@@ -9,10 +9,14 @@ import (
 // BatchStepper steps N homogeneous two-mass plants in lockstep through the
 // fused RK4/Euler stages in structure-of-arrays layout: one slice per state
 // component across all lanes, so each stage is a contiguous loop over lanes
-// the out-of-order core can overlap. One lane's arithmetic is exactly the
-// scalar Stepper's — same fusedJoint constants, same anchor/friction-band
-// branches, same operation order — so a single lane's output is bit-identical
-// to stepping the lane's Stepper directly (pinned by batch_test.go).
+// the out-of-order core can overlap. RK4 stages first evaluate every lane's
+// friction term in one frictionAll pass, which runs packed four lanes per
+// vector on AVX2 CPUs (selected once from CPUID) and scalar elsewhere. One
+// lane's arithmetic is exactly the scalar Stepper's — same fusedJoint
+// constants, same anchor/friction-band branches, same operation order, on
+// either friction path — so a single lane's output is bit-identical to
+// stepping the lane's Stepper directly (pinned by batch_test.go on both
+// paths, and friction_test.go for the pass itself).
 //
 // The intended use is lockstep stepping of many plants or guard models:
 // the fleet worker keeps its plants resident in lanes (robot.LaneSet) and
@@ -29,9 +33,11 @@ type BatchStepper struct {
 	tau      [kinematics.NumJoints][]float64    // [joint][lane]
 	x        [StateDim][]float64                // [component][lane]
 
-	// Per-stage scratch, reused joint by joint.
-	d0, am1, al1, am2, al2, am3, al3, am4, al4 []float64
-	mv2, lv2, mv3, lv3, mv4, lv4               []float64
+	// Per-stage scratch, reused joint by joint; fr holds one stage's
+	// friction terms between frictionAll and the accelG loop.
+	d0, am1, al1, am2, al2, am3, al3 []float64
+	mv2, lv2, mv3, lv3, mv4, lv4     []float64
+	fr                               []float64
 }
 
 // NewBatchStepper allocates a batch with room for capacity lanes. Every
@@ -43,8 +49,8 @@ func NewBatchStepper(capacity int) (*BatchStepper, error) {
 	}
 	b := &BatchStepper{capacity: capacity}
 	scratch := []*[]float64{
-		&b.d0, &b.am1, &b.al1, &b.am2, &b.al2, &b.am3, &b.al3, &b.am4, &b.al4,
-		&b.mv2, &b.lv2, &b.mv3, &b.lv3, &b.mv4, &b.lv4,
+		&b.d0, &b.am1, &b.al1, &b.am2, &b.al2, &b.am3, &b.al3,
+		&b.mv2, &b.lv2, &b.mv3, &b.lv3, &b.mv4, &b.lv4, &b.fr,
 	}
 	joints := make([]fusedJoint, kinematics.NumJoints*capacity)
 	floats := make([]float64, (kinematics.NumJoints+StateDim+len(scratch))*capacity)
@@ -231,14 +237,19 @@ func (b *BatchStepper) StepEulerAll(dt float64) {
 // independent, so adjacent lanes' ~50-cycle stage chains overlap in the
 // out-of-order core the same way StepRK4's hand-interleaved joints do —
 // with the interleave width set by the batch size instead of fixed at
-// three. Per lane the operation order matches Stepper.StepRK4 exactly
-// (anchor, friction band branch, accelG, stage offsets through gravAt), so
-// each lane's result is bit-identical to the scalar kernel's.
+// three. Each stage first runs frictionAll over the stage's link
+// velocities, packed four lanes per vector where the CPU allows, and then
+// the accelG loop that reads those friction terms and forms the next
+// stage's velocities; the last stage's loop also combines the step. Per
+// lane the operation order matches Stepper.StepRK4 exactly (anchor,
+// friction band, accelG, stage offsets through gravAt), so each lane's
+// result is bit-identical to the scalar kernel's.
 //
 //ravenlint:noalloc
 func (b *BatchStepper) StepRK4All(dt float64) {
 	n := b.n
 	h2, h6 := dt/2, dt/6
+	fr := b.fr[:n]
 	for jIdx := 0; jIdx < kinematics.NumJoints; jIdx++ {
 		js := b.joints[jIdx][:n]
 		tau := b.tau[jIdx][:n]
@@ -249,68 +260,40 @@ func (b *BatchStepper) StepRK4All(dt float64) {
 		am1, al1 := b.am1[:n], b.al1[:n]
 		am2, al2 := b.am2[:n], b.al2[:n]
 		am3, al3 := b.am3[:n], b.al3[:n]
-		am4, al4 := b.am4[:n], b.al4[:n]
 		mv2, lv2 := b.mv2[:n], b.lv2[:n]
 		mv3, lv3 := b.mv3[:n], b.lv3[:n]
 		mv4, lv4 := b.mv4[:n], b.lv4[:n]
 
+		frictionAll(lv, fr)
 		for l := 0; l < n; l++ {
 			j := &js[l]
 			d0[l] = j.anchor(lp[l])
-			u := lv[l] * lv[l]
-			var fr float64
-			if u < tanhBandV2 {
-				fr = tanhPolyVel(lv[l], u)
-			} else {
-				fr = tanhTail(lv[l] * invSmooth)
-			}
-			am1[l], al1[l] = j.accelG(tau[l], mp[l], mv[l], lp[l], lv[l], j.gravAt(d0[l])+j.coulomb*fr)
-		}
-
-		for l := 0; l < n; l++ {
-			j := &js[l]
+			am1[l], al1[l] = j.accelG(tau[l], mp[l], mv[l], lp[l], lv[l], j.gravAt(d0[l])+j.coulomb*fr[l])
 			mv2[l], lv2[l] = mv[l]+h2*am1[l], lv[l]+h2*al1[l]
-			u := lv2[l] * lv2[l]
-			var fr float64
-			if u < tanhBandV2 {
-				fr = tanhPolyVel(lv2[l], u)
-			} else {
-				fr = tanhTail(lv2[l] * invSmooth)
-			}
-			am2[l], al2[l] = j.accelG(tau[l], mp[l]+h2*mv[l], mv2[l], lp[l]+h2*lv[l], lv2[l], j.gravAt(d0[l]+h2*lv[l])+j.coulomb*fr)
 		}
 
+		frictionAll(lv2, fr)
 		for l := 0; l < n; l++ {
 			j := &js[l]
+			am2[l], al2[l] = j.accelG(tau[l], mp[l]+h2*mv[l], mv2[l], lp[l]+h2*lv[l], lv2[l], j.gravAt(d0[l]+h2*lv[l])+j.coulomb*fr[l])
 			mv3[l], lv3[l] = mv[l]+h2*am2[l], lv[l]+h2*al2[l]
-			u := lv3[l] * lv3[l]
-			var fr float64
-			if u < tanhBandV2 {
-				fr = tanhPolyVel(lv3[l], u)
-			} else {
-				fr = tanhTail(lv3[l] * invSmooth)
-			}
-			am3[l], al3[l] = j.accelG(tau[l], mp[l]+h2*mv2[l], mv3[l], lp[l]+h2*lv2[l], lv3[l], j.gravAt(d0[l]+h2*lv2[l])+j.coulomb*fr)
 		}
 
+		frictionAll(lv3, fr)
 		for l := 0; l < n; l++ {
 			j := &js[l]
+			am3[l], al3[l] = j.accelG(tau[l], mp[l]+h2*mv2[l], mv3[l], lp[l]+h2*lv2[l], lv3[l], j.gravAt(d0[l]+h2*lv2[l])+j.coulomb*fr[l])
 			mv4[l], lv4[l] = mv[l]+dt*am3[l], lv[l]+dt*al3[l]
-			u := lv4[l] * lv4[l]
-			var fr float64
-			if u < tanhBandV2 {
-				fr = tanhPolyVel(lv4[l], u)
-			} else {
-				fr = tanhTail(lv4[l] * invSmooth)
-			}
-			am4[l], al4[l] = j.accelG(tau[l], mp[l]+dt*mv3[l], mv4[l], lp[l]+dt*lv3[l], lv4[l], j.gravAt(d0[l]+dt*lv3[l])+j.coulomb*fr)
 		}
 
+		frictionAll(lv4, fr)
 		for l := 0; l < n; l++ {
+			j := &js[l]
+			am4, al4 := j.accelG(tau[l], mp[l]+dt*mv3[l], mv4[l], lp[l]+dt*lv3[l], lv4[l], j.gravAt(d0[l]+dt*lv3[l])+j.coulomb*fr[l])
 			mp[l] += h6 * (mv[l] + 2*mv2[l] + 2*mv3[l] + mv4[l])
 			lp[l] += h6 * (lv[l] + 2*lv2[l] + 2*lv3[l] + lv4[l])
-			mv[l] += h6 * (am1[l] + 2*am2[l] + 2*am3[l] + am4[l])
-			lv[l] += h6 * (al1[l] + 2*al2[l] + 2*al3[l] + al4[l])
+			mv[l] += h6 * (am1[l] + 2*am2[l] + 2*am3[l] + am4)
+			lv[l] += h6 * (al1[l] + 2*al2[l] + 2*al3[l] + al4)
 		}
 	}
 }

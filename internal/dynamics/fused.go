@@ -28,7 +28,12 @@ import (
 //   - replaces the tanh-smoothed Coulomb signum with a division-free
 //     polynomial inside the smoothing band (8.2e-11 worst error), a
 //     2^k·2^f exponential decomposition on the mid band (~3e-15, see
-//     tanhMid) and the exact ±1 beyond saturation;
+//     tanhMid; its integer split is an add-subtract round, not a
+//     float→int conversion) and the exact ±1 beyond saturation. The
+//     scalar step runs this banding once per joint per stage; the batch
+//     RK4 step (batch.go) runs it as one frictionAll pass over all lanes
+//     per joint per stage, four lanes per AVX2 vector where the CPU has
+//     it (friction_amd64.s), with the same operations in the same order;
 //   - evaluates the gravity sine/cosine only when the link has moved
 //     more than anchorRad from the last evaluation, reconstructing
 //     intermediate values from the anchor by a fifth-order expansion
@@ -94,11 +99,12 @@ func (j *fusedJoint) accelG(tau, mpos, mvel, lpos, lvel, load float64) (am, al f
 }
 
 // friction is the joint's tanh-smoothed Coulomb term at link velocity
-// lvel (see model.go's smoothSign). The step loops spell the same
+// lvel (see model.go's smoothSign). The scalar step loops spell the same
 // computation out by hand — tanhBand2 branch between tanhPoly and
 // tanhTail — because a single function holding both the polynomial and
-// the fallback call exceeds the inline budget; this method is the
-// readable form, used where a few nanoseconds don't matter.
+// the fallback call exceeds the inline budget, and the batch RK4 step
+// runs it lane-wide through frictionAll; this method is the readable
+// form, used where a few nanoseconds don't matter.
 //
 //ravenlint:noalloc
 func (j *fusedJoint) friction(lvel float64) float64 {
@@ -497,11 +503,13 @@ func tanhTail(x float64) float64 {
 }
 
 // Constants for tanhMid's 2^t decomposition: log2(e) to convert the
-// exponent to base 2, and ln 2 to map the fractional part back to exp's
-// Taylor domain.
+// exponent to base 2, ln 2 to map the fractional part back to exp's
+// Taylor domain, and 1.5·2⁵², whose add-subtract rounds t to the nearest
+// integer (ties to even) without a float→int conversion.
 const (
 	tanhLog2E = 1.4426950408889634
 	tanhLn2   = 0.6931471805599453
+	tanhRound = 1.5 * (1 << 52)
 )
 
 // tanhMid evaluates tanh on the mid band 5/8 <= |x| < 20 — homing sweeps
@@ -512,18 +520,24 @@ const (
 //	tanh(x) = sgn(x) · (1 - 2s/(1+s)),  s = e^(-2|x|)
 //
 // and computes s as 2^t, t = -2|x|·log2(e) ∈ (-57.8, -1.8]: split
-// t = k + f with k = RoundToEven(t) and f ∈ [-1/2, 1/2], evaluate
+// t = k + f with k = t rounded to the nearest integer, ties to even, and
+// f ∈ [-1/2, 1/2], evaluate
 // 2^f = e^(f·ln2) by a degree-12 Taylor polynomial (truncation < 2e-16
 // relative), and apply 2^k by adding k to the exponent bits — exact, and
 // s ≥ e^(-40) keeps the result far from the subnormal range. The
 // argument-conversion rounding bounds the overall error at ~3e-15
 // absolute, within the kernel's documented float-tolerance contract
-// (fastSin and the friction polynomial sit at 5e-14 and 8e-11). One
-// division remains, but only one evaluation runs per joint per stage
-// against the twelve polynomial evaluations, so it does not serialize
-// the stage chains the way a Padé friction would. Arguments outside the
-// band — including NaN, which fails the range check — fall back to
-// math.Tanh.
+// (fastSin and the friction polynomial sit at 5e-14 and 8e-11).
+//
+// The rounding is the add-subtract (t + 1.5·2⁵²) - 1.5·2⁵²: every sum
+// lands in [2⁵², 2⁵³), where the float64 spacing is exactly 1, so the
+// add rounds t to an integer under the default ties-to-even mode and the
+// subtract is exact — the same k math.RoundToEven returns (pinned by
+// fused_test.go). The form matters because the packed friction kernel
+// (friction_amd64.s) must run this exact operation sequence four lanes
+// at a time, and AVX2 has no packed float→int64 conversion to mirror a
+// RoundToEven. Arguments outside the band — including NaN, which fails
+// the range check — fall back to math.Tanh.
 //
 //ravenlint:noalloc
 func tanhMid(x float64) float64 {
@@ -535,7 +549,7 @@ func tanhMid(x float64) float64 {
 		return math.Tanh(x) // out-of-contract caller; also catches NaN
 	}
 	t := -2 * ax * tanhLog2E
-	k := math.RoundToEven(t)
+	k := (t + tanhRound) - tanhRound
 	w := (t - k) * tanhLn2
 	p := 2.08767569878681e-09 // 1/12!
 	p = p*w + 2.505210838544172e-08

@@ -26,13 +26,17 @@ func benchSpecs(n int) []Spec {
 
 // BenchmarkWorkerTick measures one steady-state worker tick over 64
 // resident mixed sessions — the fleet engine's hot loop. ns/op divided by
-// 64 is the per-session tick cost that bounds sessions/core.
+// 64 is the per-session tick cost that bounds sessions/core. The scripts
+// never end (TeleopSeconds 1e9), so every lane stays resident and ns/op
+// does not depend on -benchtime; the run fails if residency drops.
 func BenchmarkWorkerTick(b *testing.B) {
-	w, err := NewWorker(64, nil)
+	const lanes = 64
+	w, err := NewWorker(lanes, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, sp := range benchSpecs(64) {
+	for _, sp := range benchSpecs(lanes) {
+		sp.TeleopSeconds = 1e9
 		s, err := sp.Build()
 		if err != nil {
 			b.Fatal(err)
@@ -48,10 +52,16 @@ func BenchmarkWorkerTick(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := w.Tick(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	if got := w.Resident(); got != lanes {
+		b.Fatalf("%d of %d lanes resident after the run, want all", got, lanes)
+	}
+	b.ReportMetric(float64(w.Resident()), "resident_lanes")
 }

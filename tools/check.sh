@@ -25,6 +25,13 @@ stage="go vet"
 echo "==> go vet ./..."
 go vet ./...
 
+# The packed friction kernel is amd64 assembly; every other architecture
+# builds the portable scalar path (friction_other.go). Vetting an arm64
+# cross-build (offline, no toolchain download) keeps that path compiling.
+stage="go vet (GOARCH=arm64)"
+echo "==> GOARCH=arm64 go vet ./..."
+GOARCH=arm64 go vet ./...
+
 stage="ravenlint (all six checks)"
 echo "==> go run ./cmd/ravenlint ./..."
 go run ./cmd/ravenlint ./...
@@ -171,5 +178,11 @@ go test -run '^$' -bench 'BatchStepRK4' -benchmem -benchtime 100x ./internal/dyn
 			print "FAIL: " $1 " allocates " $i " allocs/op, want 0"; bad = 1
 		}
 	} END { exit bad }'
+
+# Friction fuzz smoke: arbitrary 64-bit lane patterns through the packed
+# friction pass must match the scalar banding bit for bit (NaN for NaN).
+stage="friction fuzz smoke"
+echo "==> go test -fuzz FuzzBatchFriction -fuzztime 10s ./internal/dynamics"
+go test -run '^$' -fuzz FuzzBatchFriction -fuzztime 10s ./internal/dynamics
 
 echo "OK"
