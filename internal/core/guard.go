@@ -240,7 +240,7 @@ type Guard struct {
 	// deferred set, OnWrite stops at the model-advance step: it parks the
 	// frame on the interposition chain with Hold and latches the
 	// prediction inputs below. The fleet worker then packs every pending
-	// guard's model into one SoA BatchStepper, advances all lanes in one
+	// guard's model into one BatchStepper, advances all lanes in one
 	// fused sweep, and calls AbsorbPrediction to finish each held write.
 	// The pend* fields live only between OnWrite and AbsorbPrediction
 	// within a single control period — never across a tick, so snapshots

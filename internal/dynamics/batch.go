@@ -7,16 +7,25 @@ import (
 )
 
 // BatchStepper steps N homogeneous two-mass plants in lockstep through the
-// fused RK4/Euler stages in structure-of-arrays layout: one slice per state
-// component across all lanes, so each stage is a contiguous loop over lanes
-// the out-of-order core can overlap. RK4 stages first evaluate every lane's
-// friction term in one frictionAll pass, which runs packed four lanes per
-// vector on AVX2 CPUs (selected once from CPUID) and scalar elsewhere. One
-// lane's arithmetic is exactly the scalar Stepper's — same fusedJoint
-// constants, same anchor/friction-band branches, same operation order, on
-// either friction path — so a single lane's output is bit-identical to
-// stepping the lane's Stepper directly (pinned by batch_test.go on both
-// paths, and friction_test.go for the pass itself).
+// fused RK4/Euler stages. The model has no cross-joint coupling, so the
+// batch steps joint lanes, not plants: plant lane l's joint j is joint
+// lane k = 3l+j. The state is the plants' [StateDim] vectors back to back,
+// so joint lane k owns x[4k:4k+4], joints[k] and tau[k], and a plant
+// lane's state is a *[StateDim]float64 (Lane) that loads, stores and swaps
+// as one copy.
+//
+// Each stage kernel is one pass over all 3N joint lanes: independent
+// lanes' ~50-cycle stage chains overlap in the out-of-order core the same
+// way StepRK4's hand-interleaved joints do, with the interleave width set
+// by the batch size. RK4 stages first evaluate every joint lane's friction
+// term in one frictionAll pass, which runs packed four lanes per vector on
+// AVX2 CPUs (selected once from CPUID) and scalar elsewhere. The Euler
+// pass is the same code as Stepper.StepEuler (eulerLanes). One lane's
+// arithmetic is exactly the scalar Stepper's — same fusedJoint constants,
+// same anchor/friction-band branches, same operation order, on either
+// friction path — so a plant lane's output is bit-identical to stepping
+// its Stepper directly (pinned by batch_test.go on both paths, and
+// friction_test.go for the pass itself).
 //
 // The intended use is lockstep stepping of many plants or guard models:
 // the fleet worker keeps its plants resident in lanes (robot.LaneSet) and
@@ -27,64 +36,67 @@ import (
 // All scratch is preallocated at construction: steady-state stepping is
 // 0 allocs/op (guarded by the allocation regression tests).
 type BatchStepper struct {
-	capacity int
-	n        int
-	joints   [kinematics.NumJoints][]fusedJoint // [joint][lane]
-	tau      [kinematics.NumJoints][]float64    // [joint][lane]
-	x        [StateDim][]float64                // [component][lane]
+	n      int          // active plant lanes
+	joints []fusedJoint // [joint lane]
+	tau    []float64    // [joint lane]
+	x      []float64    // [plant lane][StateDim], joint lane k at [4k:4k+4]
 
-	// Per-stage scratch, reused joint by joint; fr holds one stage's
-	// friction terms between frictionAll and the accelG loop.
-	d0, am1, al1, am2, al2, am3, al3 []float64
-	mv2, lv2, mv3, lv3, mv4, lv4     []float64
-	fr                               []float64
+	// RK4 stage scratch, one entry per joint lane. lv1 gathers the link
+	// velocities for the first stage's friction pass; fr holds one stage's
+	// friction terms between frictionAll and the stage's accelG loop.
+	d0, lv1, am1, al1, am2, al2, am3, al3 []float64
+	mv2, lv2, mv3, lv3, mv4, lv4          []float64
+	fr                                    []float64
 }
 
-// NewBatchStepper allocates a batch with room for capacity lanes. Every
-// per-lane slice is a window of one of two slabs (joint constants, floats),
-// so construction costs a handful of allocations at any width.
+// NewBatchStepper allocates a batch with room for capacity plant lanes.
+// Every scratch slice is a window of one float slab, so construction
+// costs a handful of allocations at any width.
 func NewBatchStepper(capacity int) (*BatchStepper, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("dynamics: batch capacity %d must be > 0", capacity)
 	}
-	b := &BatchStepper{capacity: capacity}
+	k := kinematics.NumJoints * capacity
+	b := &BatchStepper{
+		joints: make([]fusedJoint, k),
+		tau:    make([]float64, k),
+		x:      make([]float64, StateDim*capacity),
+	}
 	scratch := []*[]float64{
-		&b.d0, &b.am1, &b.al1, &b.am2, &b.al2, &b.am3, &b.al3,
+		&b.d0, &b.lv1, &b.am1, &b.al1, &b.am2, &b.al2, &b.am3, &b.al3,
 		&b.mv2, &b.lv2, &b.mv3, &b.lv3, &b.mv4, &b.lv4, &b.fr,
 	}
-	joints := make([]fusedJoint, kinematics.NumJoints*capacity)
-	floats := make([]float64, (kinematics.NumJoints+StateDim+len(scratch))*capacity)
-	next := func() []float64 {
-		s := floats[:capacity:capacity]
-		floats = floats[capacity:]
-		return s
-	}
-	for j := 0; j < kinematics.NumJoints; j++ {
-		b.joints[j] = joints[j*capacity : (j+1)*capacity : (j+1)*capacity]
-		b.tau[j] = next()
-	}
-	for c := 0; c < StateDim; c++ {
-		b.x[c] = next()
-	}
-	for _, p := range scratch {
-		*p = next()
+	floats := make([]float64, len(scratch)*k)
+	for i, p := range scratch {
+		*p = floats[i*k : (i+1)*k : (i+1)*k]
 	}
 	return b, nil
 }
 
-// Capacity returns the lane capacity.
-func (b *BatchStepper) Capacity() int { return b.capacity }
-
-// Lanes returns the number of active lanes.
-func (b *BatchStepper) Lanes() int { return b.n }
-
-// SetLanes sets the number of active lanes for subsequent steps.
+// SetLanes sets the number of active plant lanes for subsequent steps.
 func (b *BatchStepper) SetLanes(n int) error {
-	if n < 0 || n > b.capacity {
-		return fmt.Errorf("dynamics: %d lanes exceed batch capacity %d", n, b.capacity)
+	if n < 0 || kinematics.NumJoints*n > len(b.joints) {
+		return fmt.Errorf("dynamics: %d lanes exceed batch capacity %d", n, len(b.joints)/kinematics.NumJoints)
 	}
 	b.n = n
 	return nil
+}
+
+// Lane returns plant lane's state vector, resident in the batch. Callers
+// may read and mutate it between steps — the plant's hard-stop and cable
+// checks run on it in place.
+func (b *BatchStepper) Lane(lane int) *[StateDim]float64 {
+	return (*[StateDim]float64)(b.x[StateDim*lane:])
+}
+
+// laneJoints returns plant lane's three joint lanes.
+func (b *BatchStepper) laneJoints(lane int) *[kinematics.NumJoints]fusedJoint {
+	return (*[kinematics.NumJoints]fusedJoint)(b.joints[kinematics.NumJoints*lane:])
+}
+
+// laneTau returns plant lane's held torques.
+func (b *BatchStepper) laneTau(lane int) *[kinematics.NumJoints]float64 {
+	return (*[kinematics.NumJoints]float64)(b.tau[kinematics.NumJoints*lane:])
 }
 
 // FillLane loads lane of the batch from this kernel: per-joint constants,
@@ -93,10 +105,8 @@ func (b *BatchStepper) SetLanes(n int) error {
 //
 //ravenlint:noalloc
 func (s *Stepper) FillLane(b *BatchStepper, lane int) {
-	for j := 0; j < kinematics.NumJoints; j++ {
-		b.joints[j][lane] = s.joints[j]
-		b.tau[j][lane] = s.tau[j]
-	}
+	*b.laneJoints(lane) = s.joints
+	*b.laneTau(lane) = s.tau
 }
 
 // ReadLane writes the lane's mutated kernel state (gravity anchors, held
@@ -105,33 +115,22 @@ func (s *Stepper) FillLane(b *BatchStepper, lane int) {
 //
 //ravenlint:noalloc
 func (s *Stepper) ReadLane(b *BatchStepper, lane int) {
-	for j := 0; j < kinematics.NumJoints; j++ {
-		jl := &b.joints[j][lane]
+	for j, jl := range b.laneJoints(lane) {
 		s.joints[j].aLp, s.joints[j].aSin, s.joints[j].aCos = jl.aLp, jl.aSin, jl.aCos
-		s.tau[j] = b.tau[j][lane]
 	}
+	s.tau = *b.laneTau(lane)
 }
 
 // SetLaneTau sets lane's held motor torques (zero-order hold).
 func (b *BatchStepper) SetLaneTau(lane int, tau [kinematics.NumJoints]float64) {
-	for j := 0; j < kinematics.NumJoints; j++ {
-		b.tau[j][lane] = tau[j]
-	}
+	*b.laneTau(lane) = tau
 }
 
 // SetLaneX loads lane's state vector.
-func (b *BatchStepper) SetLaneX(lane int, x *[StateDim]float64) {
-	for c := 0; c < StateDim; c++ {
-		b.x[c][lane] = x[c]
-	}
-}
+func (b *BatchStepper) SetLaneX(lane int, x *[StateDim]float64) { *b.Lane(lane) = *x }
 
 // LaneX stores lane's state vector into x.
-func (b *BatchStepper) LaneX(lane int, x *[StateDim]float64) {
-	for c := 0; c < StateDim; c++ {
-		x[c] = b.x[c][lane]
-	}
-}
+func (b *BatchStepper) LaneX(lane int, x *[StateDim]float64) { *x = *b.Lane(lane) }
 
 // SwapLanes exchanges the complete per-lane data — joint constants and
 // anchors, held torques, state vector — of lanes a and b. Lanes are
@@ -145,166 +144,112 @@ func (b *BatchStepper) SwapLanes(la, lb int) {
 	if la == lb {
 		return
 	}
-	for j := 0; j < kinematics.NumJoints; j++ {
-		b.joints[j][la], b.joints[j][lb] = b.joints[j][lb], b.joints[j][la]
-		b.tau[j][la], b.tau[j][lb] = b.tau[j][lb], b.tau[j][la]
-	}
-	for c := 0; c < StateDim; c++ {
-		b.x[c][la], b.x[c][lb] = b.x[c][lb], b.x[c][la]
-	}
+	ja, jb := b.laneJoints(la), b.laneJoints(lb)
+	*ja, *jb = *jb, *ja
+	ta, tb := b.laneTau(la), b.laneTau(lb)
+	*ta, *tb = *tb, *ta
+	xa, xb := b.Lane(la), b.Lane(lb)
+	*xa, *xb = *xb, *xa
 }
 
-// CopyLane overwrites lane dst's per-lane data with src's. The source lane
-// is left intact; callers compacting a retired lane typically copy the last
-// active lane down and then shrink the active count.
-//
-//ravenlint:noalloc
-func (b *BatchStepper) CopyLane(dst, src int) {
-	if dst == src {
-		return
-	}
-	for j := 0; j < kinematics.NumJoints; j++ {
-		b.joints[j][dst] = b.joints[j][src]
-		b.tau[j][dst] = b.tau[j][src]
-	}
-	for c := 0; c < StateDim; c++ {
-		b.x[c][dst] = b.x[c][src]
-	}
-}
-
-// RemoveLane retires lane from the active set: the last active lane is
-// copied into its slot and the active count shrinks by one. It returns the
-// index of the lane that moved into the slot (the previous last lane), or
-// -1 when the removed lane was itself the last — callers maintaining a
-// lane→session mapping apply exactly that one move. Surviving lanes'
-// trajectories are unaffected: each lane's arithmetic depends only on its
-// own data (pinned by batch_compact_test.go).
-//
-//ravenlint:noalloc
-func (b *BatchStepper) RemoveLane(lane int) int {
-	last := b.n - 1
-	if lane < 0 || lane > last {
-		return -1
-	}
-	b.n = last
-	if lane == last {
-		return -1
-	}
-	b.CopyLane(lane, last)
-	return last
-}
-
-// Component returns the shared slice of one state component across lanes
-// (index by the flat state layout: 4*joint+{0:motor pos, 1:motor vel,
-// 2:link pos, 3:link vel}). Callers may mutate entries in place — the
-// plant's hard-stop and cable checks run between sub-steps this way
-// without copying lanes out and back.
-func (b *BatchStepper) Component(c int) []float64 { return b.x[c][:b.n] }
-
-// StepEulerAll advances every active lane by one explicit Euler step,
-// replicating Stepper.StepEuler's per-joint operation order per lane.
+// StepEulerAll advances every active lane by one explicit Euler step: the
+// Stepper.StepEuler kernel over all active joint lanes.
 //
 //ravenlint:noalloc
 func (b *BatchStepper) StepEulerAll(dt float64) {
-	n := b.n
-	for jIdx := 0; jIdx < kinematics.NumJoints; jIdx++ {
-		js := b.joints[jIdx][:n]
-		tau := b.tau[jIdx][:n]
-		base := 4 * jIdx
-		mp, mv := b.x[base][:n], b.x[base+1][:n]
-		lp, lv := b.x[base+2][:n], b.x[base+3][:n]
-		for l := 0; l < n; l++ {
-			j := &js[l]
-			d0 := j.anchor(lp[l])
-			u := lv[l] * lv[l]
-			var fr float64
-			if u < tanhBandV2 {
-				fr = tanhPolyVel(lv[l], u)
-			} else {
-				fr = tanhTail(lv[l] * invSmooth)
-			}
-			am, al := j.accelG(tau[l], mp[l], mv[l], lp[l], lv[l], j.gravAt(d0)+j.coulomb*fr)
-			mp[l] += dt * mv[l]
-			lp[l] += dt * lv[l]
-			mv[l] += dt * am
-			lv[l] += dt * al
+	k := kinematics.NumJoints * b.n
+	eulerLanes(b.joints[:k], b.tau[:k], b.x[:4*k], dt)
+}
+
+// eulerLanes advances joint lanes js by one explicit Euler step: joint
+// lane k, held torque tau[k], owns x[4k:4k+4]. It is the Euler kernel of
+// both Stepper.StepEuler (its three joints) and BatchStepper.StepEulerAll.
+//
+//ravenlint:noalloc
+func eulerLanes(js []fusedJoint, tau, x []float64, dt float64) {
+	tau = tau[:len(js)]
+	x = x[:4*len(js)]
+	for k := range js {
+		j := &js[k]
+		xs := (*[4]float64)(x[4*k:])
+		mp, mv, lp, lv := xs[0], xs[1], xs[2], xs[3]
+		d0 := j.anchor(lp)
+		u := lv * lv
+		var fr float64
+		if u < tanhBandV2 {
+			fr = tanhPolyVel(lv, u)
+		} else {
+			fr = tanhTail(lv * invSmooth)
 		}
+		am, al := j.accelG(tau[k], mp, mv, lp, lv, j.gravAt(d0)+j.coulomb*fr)
+		xs[0] = mp + dt*mv
+		xs[1] = mv + dt*am
+		xs[2] = lp + dt*lv
+		xs[3] = lv + dt*al
 	}
 }
 
 // StepRK4All advances every active lane by one classical RK4 step. The body
-// is stage-major with a contiguous lane loop per stage: lanes are
-// independent, so adjacent lanes' ~50-cycle stage chains overlap in the
-// out-of-order core the same way StepRK4's hand-interleaved joints do —
-// with the interleave width set by the batch size instead of fixed at
-// three. Each stage first runs frictionAll over the stage's link
-// velocities, packed four lanes per vector where the CPU allows, and then
-// the accelG loop that reads those friction terms and forms the next
-// stage's velocities; the last stage's loop also combines the step. Per
-// lane the operation order matches Stepper.StepRK4 exactly (anchor,
-// friction band, accelG, stage offsets through gravAt), so each lane's
-// result is bit-identical to the scalar kernel's.
+// is stage-major, each stage one pass over every active joint lane: a
+// frictionAll pass over the stage's link velocities, packed four lanes per
+// vector where the CPU allows, then the accelG loop that reads those
+// friction terms and forms the next stage's velocities; the last stage's
+// loop also combines the step. Per lane the operation order matches
+// Stepper.StepRK4 exactly (anchor, friction band, accelG, stage offsets
+// through gravAt), so each lane's result is bit-identical to the scalar
+// kernel's.
 //
 //ravenlint:noalloc
 func (b *BatchStepper) StepRK4All(dt float64) {
-	n := b.n
+	n := kinematics.NumJoints * b.n
 	h2, h6 := dt/2, dt/6
-	fr := b.fr[:n]
-	for jIdx := 0; jIdx < kinematics.NumJoints; jIdx++ {
-		js := b.joints[jIdx][:n]
-		tau := b.tau[jIdx][:n]
-		base := 4 * jIdx
-		mp, mv := b.x[base][:n], b.x[base+1][:n]
-		lp, lv := b.x[base+2][:n], b.x[base+3][:n]
-		d0 := b.d0[:n]
-		am1, al1 := b.am1[:n], b.al1[:n]
-		am2, al2 := b.am2[:n], b.al2[:n]
-		am3, al3 := b.am3[:n], b.al3[:n]
-		mv2, lv2 := b.mv2[:n], b.lv2[:n]
-		mv3, lv3 := b.mv3[:n], b.lv3[:n]
-		mv4, lv4 := b.mv4[:n], b.lv4[:n]
+	js, tau, x := b.joints[:n], b.tau[:n], b.x[:4*n]
+	d0, fr := b.d0[:n], b.fr[:n]
+	am1, al1 := b.am1[:n], b.al1[:n]
+	am2, al2 := b.am2[:n], b.al2[:n]
+	am3, al3 := b.am3[:n], b.al3[:n]
+	lv1 := b.lv1[:n]
+	mv2, lv2 := b.mv2[:n], b.lv2[:n]
+	mv3, lv3 := b.mv3[:n], b.lv3[:n]
+	mv4, lv4 := b.mv4[:n], b.lv4[:n]
 
-		frictionAll(lv, fr)
-		for l := 0; l < n; l++ {
-			j := &js[l]
-			d0[l] = j.anchor(lp[l])
-			am1[l], al1[l] = j.accelG(tau[l], mp[l], mv[l], lp[l], lv[l], j.gravAt(d0[l])+j.coulomb*fr[l])
-			mv2[l], lv2[l] = mv[l]+h2*am1[l], lv[l]+h2*al1[l]
-		}
-
-		frictionAll(lv2, fr)
-		for l := 0; l < n; l++ {
-			j := &js[l]
-			am2[l], al2[l] = j.accelG(tau[l], mp[l]+h2*mv[l], mv2[l], lp[l]+h2*lv[l], lv2[l], j.gravAt(d0[l]+h2*lv[l])+j.coulomb*fr[l])
-			mv3[l], lv3[l] = mv[l]+h2*am2[l], lv[l]+h2*al2[l]
-		}
-
-		frictionAll(lv3, fr)
-		for l := 0; l < n; l++ {
-			j := &js[l]
-			am3[l], al3[l] = j.accelG(tau[l], mp[l]+h2*mv2[l], mv3[l], lp[l]+h2*lv2[l], lv3[l], j.gravAt(d0[l]+h2*lv2[l])+j.coulomb*fr[l])
-			mv4[l], lv4[l] = mv[l]+dt*am3[l], lv[l]+dt*al3[l]
-		}
-
-		frictionAll(lv4, fr)
-		for l := 0; l < n; l++ {
-			j := &js[l]
-			am4, al4 := j.accelG(tau[l], mp[l]+dt*mv3[l], mv4[l], lp[l]+dt*lv3[l], lv4[l], j.gravAt(d0[l]+dt*lv3[l])+j.coulomb*fr[l])
-			mp[l] += h6 * (mv[l] + 2*mv2[l] + 2*mv3[l] + mv4[l])
-			lp[l] += h6 * (lv[l] + 2*lv2[l] + 2*lv3[l] + lv4[l])
-			mv[l] += h6 * (am1[l] + 2*am2[l] + 2*am3[l] + am4)
-			lv[l] += h6 * (al1[l] + 2*al2[l] + 2*al3[l] + al4)
-		}
+	for k := range js {
+		xs := (*[4]float64)(x[4*k:])
+		d0[k] = js[k].anchor(xs[2])
+		lv1[k] = xs[3]
 	}
-}
+	frictionAll(lv1, fr)
+	for k := range js {
+		j, xs := &js[k], (*[4]float64)(x[4*k:])
+		mp, mv, lp, lv := xs[0], xs[1], xs[2], xs[3]
+		am1[k], al1[k] = j.accelG(tau[k], mp, mv, lp, lv, j.gravAt(d0[k])+j.coulomb*fr[k])
+		mv2[k], lv2[k] = mv+h2*am1[k], lv+h2*al1[k]
+	}
 
-// StepAll advances every active lane by one step of the named scheme.
-//
-//ravenlint:noalloc
-func (b *BatchStepper) StepAll(rk4 bool, dt float64) {
-	if rk4 {
-		b.StepRK4All(dt)
-	} else {
-		b.StepEulerAll(dt)
+	frictionAll(lv2, fr)
+	for k := range js {
+		j, xs := &js[k], (*[4]float64)(x[4*k:])
+		mp, mv, lp, lv := xs[0], xs[1], xs[2], xs[3]
+		am2[k], al2[k] = j.accelG(tau[k], mp+h2*mv, mv2[k], lp+h2*lv, lv2[k], j.gravAt(d0[k]+h2*lv)+j.coulomb*fr[k])
+		mv3[k], lv3[k] = mv+h2*am2[k], lv+h2*al2[k]
+	}
+
+	frictionAll(lv3, fr)
+	for k := range js {
+		j, xs := &js[k], (*[4]float64)(x[4*k:])
+		mp, mv, lp, lv := xs[0], xs[1], xs[2], xs[3]
+		am3[k], al3[k] = j.accelG(tau[k], mp+h2*mv2[k], mv3[k], lp+h2*lv2[k], lv3[k], j.gravAt(d0[k]+h2*lv2[k])+j.coulomb*fr[k])
+		mv4[k], lv4[k] = mv+dt*am3[k], lv+dt*al3[k]
+	}
+
+	frictionAll(lv4, fr)
+	for k := range js {
+		j, xs := &js[k], (*[4]float64)(x[4*k:])
+		mp, mv, lp, lv := xs[0], xs[1], xs[2], xs[3]
+		am4, al4 := j.accelG(tau[k], mp+dt*mv3[k], mv4[k], lp+dt*lv3[k], lv4[k], j.gravAt(d0[k]+dt*lv3[k])+j.coulomb*fr[k])
+		xs[0] = mp + h6*(mv+2*mv2[k]+2*mv3[k]+mv4[k])
+		xs[2] = lp + h6*(lv+2*lv2[k]+2*lv3[k]+lv4[k])
+		xs[1] = mv + h6*(am1[k]+2*am2[k]+2*am3[k]+am4)
+		xs[3] = lv + h6*(al1[k]+2*al2[k]+2*al3[k]+al4)
 	}
 }

@@ -30,10 +30,11 @@ import (
 //     2^k·2^f exponential decomposition on the mid band (~3e-15, see
 //     tanhMid; its integer split is an add-subtract round, not a
 //     float→int conversion) and the exact ±1 beyond saturation. The
-//     scalar step runs this banding once per joint per stage; the batch
-//     RK4 step (batch.go) runs it as one frictionAll pass over all lanes
-//     per joint per stage, four lanes per AVX2 vector where the CPU has
-//     it (friction_amd64.s), with the same operations in the same order;
+//     scalar steps run this banding once per joint per stage; the batch
+//     RK4 step (batch.go) runs it as one frictionAll pass over every
+//     joint lane of the batch per stage, four lanes per AVX2 vector where
+//     the CPU has it (friction_amd64.s), with the same operations in the
+//     same order;
 //   - evaluates the gravity sine/cosine only when the link has moved
 //     more than anchorRad from the last evaluation, reconstructing
 //     intermediate values from the anchor by a fifth-order expansion
@@ -96,19 +97,6 @@ func (j *fusedJoint) accelG(tau, mpos, mvel, lpos, lvel, load float64) (am, al f
 	am = (tau - j.bm*mvel - cable*j.invRatio) * j.invJm
 	al = (cable - j.bl*lvel - load) * j.invJl
 	return am, al
-}
-
-// friction is the joint's tanh-smoothed Coulomb term at link velocity
-// lvel (see model.go's smoothSign). The scalar step loops spell the same
-// computation out by hand — tanhBand2 branch between tanhPoly and
-// tanhTail — because a single function holding both the polynomial and
-// the fallback call exceeds the inline budget, and the batch RK4 step
-// runs it lane-wide through frictionAll; this method is the readable
-// form, used where a few nanoseconds don't matter.
-//
-//ravenlint:noalloc
-func (j *fusedJoint) friction(lvel float64) float64 {
-	return j.coulomb * fastTanh(lvel*invSmooth)
 }
 
 // anchorRad2 is the square of the anchor freshness radius (0.01 rad).
@@ -214,29 +202,12 @@ func (s *Stepper) SetTorque(tau [kinematics.NumJoints]float64) { s.tau = tau }
 // Torque returns the currently applied motor torques.
 func (s *Stepper) Torque() [kinematics.NumJoints]float64 { return s.tau }
 
-// StepEuler advances x in place by one explicit Euler step.
+// StepEuler advances x in place by one explicit Euler step: the batch's
+// Euler kernel run over this Stepper's three joints.
 //
 //ravenlint:noalloc
 func (s *Stepper) StepEuler(x *[StateDim]float64, dt float64) {
-	for i := 0; i < kinematics.NumJoints; i++ {
-		j := &s.joints[i]
-		base := 4 * i
-		mp, mv := x[base], x[base+1]
-		lp, lv := x[base+2], x[base+3]
-		d0 := j.anchor(lp)
-		u := lv * lv
-		var fr float64
-		if u < tanhBandV2 {
-			fr = tanhPolyVel(lv, u)
-		} else {
-			fr = tanhTail(lv * invSmooth)
-		}
-		am, al := j.accelG(s.tau[i], mp, mv, lp, lv, j.gravAt(d0)+j.coulomb*fr)
-		x[base] = mp + dt*mv
-		x[base+1] = mv + dt*am
-		x[base+2] = lp + dt*lv
-		x[base+3] = lv + dt*al
-	}
+	eulerLanes(s.joints[:], s.tau[:], x[:], dt)
 }
 
 // StepRK4 advances x in place by one classical 4th-order Runge-Kutta
@@ -419,8 +390,8 @@ func (s *Stepper) Step(rk4 bool, x *[StateDim]float64, dt float64) {
 // constant arithmetic keeps it exact.
 const invSmooth = 1 / 0.02
 
-// tanhBand2 is the square of the half-width of fastTanh's polynomial
-// band: tanhPoly is valid for x² < tanhBand2, i.e. |x| < 5/8.
+// tanhBand2 is the square of the half-width of the friction polynomial's
+// band on the tanh argument: |x| < 5/8.
 const tanhBand2 = 0.390625
 
 // tanhBandV2 is the same band expressed on link velocity: tanhPolyVel is
@@ -428,11 +399,20 @@ const tanhBand2 = 0.390625
 const tanhBandV2 = tanhBand2 / (invSmooth * invSmooth)
 
 // tanhPolyVel evaluates smoothSign(v) = tanh(v/0.02) directly from the
-// link velocity: it is tanhPoly with the 1/0.02 argument scaling folded
-// into the coefficients (ck · 50·2500^k), so the step loops go from v to
-// friction without first materializing v/0.02. Callers pass u = v² and
-// must have checked u < tanhBandV2. Same 8.2e-11 worst error as
-// tanhPoly; the two differ only in rounding, at ~1 ulp.
+// link velocity, on the band the stage loops actually sit in whenever a
+// link moves slower than the smoothing velocity. It is a degree-13 odd
+// polynomial, the Chebyshev fit of tanh(x)/x in x² on |x| < 5/8, with the
+// 1/0.02 argument scaling folded into the coefficients (ck · 50·2500^k),
+// so the step loops go from v to friction without first materializing
+// v/0.02. Worst error is 8.2e-11 absolute: friction-torque noise of
+// coulomb·8e-11 N·m, far below the model's parameter tolerances. A
+// division-based Padé approximant would be one ulp accurate, but twelve
+// of these run per RK4 step and the divider is the one unit the stage
+// loop would serialize on; the polynomial is pure fused-multiply-add
+// material. Callers pass u = v² and must have checked u < tanhBandV2, so
+// the banding branch and this body stay separately inlinable: one
+// function holding the polynomial, the branch, and the tanhTail fallback
+// call would exceed the inline budget.
 //
 //ravenlint:noalloc
 func tanhPolyVel(v, u float64) float64 {
@@ -446,50 +426,12 @@ func tanhPolyVel(v, u float64) float64 {
 	return v * p
 }
 
-// tanhPoly evaluates tanh on |x| < 5/8 — the band the stage loop
-// actually sits in whenever a link moves slower than the smoothing
-// velocity — as a degree-13 odd polynomial, the Chebyshev fit of
-// tanh(x)/x in t = x² on the band, with worst error 8.2e-11 absolute:
-// friction-torque noise of coulomb·8e-11 N·m, far below the model's
-// parameter tolerances. A division-based Padé approximant would be one
-// ulp accurate, but twelve of these run per RK4 step and the divider is
-// the one unit the stage loop would serialize on; the polynomial is
-// pure fused-multiply-add material. Callers pass t so the banding
-// branch and this body stay separately inlinable: one function holding
-// the polynomial, the branch, and the tanhTail fallback call would
-// exceed the inline budget.
-//
-//ravenlint:noalloc
-func tanhPoly(x, t float64) float64 {
-	p := 0.0021303085500800007
-	p = p*t - 0.008161230685609377
-	p = p*t + 0.021692755055004884
-	p = p*t - 0.053944887840824136
-	p = p*t + 0.13333184540969484
-	p = p*t - 0.3333332975719443
-	p = p*t + 0.9999999998591094
-	return x * p
-}
-
-// fastTanh composes tanhPoly and tanhTail into a drop-in tanh for the
-// Coulomb smoothing term. NaN propagates through both paths. The step
-// loops inline the same banding branch by hand instead of calling this
-// (see friction).
-//
-//ravenlint:noalloc
-func fastTanh(x float64) float64 {
-	t := x * x
-	if t < tanhBand2 {
-		return tanhPoly(x, t)
-	}
-	return tanhTail(x)
-}
-
-// tanhTail handles |x| >= 5/8 for fastTanh. For |x| >= 20, tanh(x)
-// differs from ±1 by < 1e-17, far below half an ulp of 1.0, so returning
-// ±1 is value-identical to math.Tanh while skipping its exp evaluation —
-// and saturation is the common case once a joint moves faster than the
-// Coulomb smoothing band. The remaining mid band goes to tanhMid.
+// tanhTail handles |x| >= 5/8 for the friction banding. For |x| >= 20,
+// tanh(x) differs from ±1 by < 1e-17, far below half an ulp of 1.0, so
+// returning ±1 is value-identical to math.Tanh while skipping its exp
+// evaluation — and saturation is the common case once a joint moves
+// faster than the Coulomb smoothing band. The remaining mid band goes to
+// tanhMid.
 //
 //ravenlint:noalloc
 func tanhTail(x float64) float64 {

@@ -163,8 +163,16 @@ func TestFusedNaNRecovery(t *testing.T) {
 	}
 }
 
-// TestFastTanh sweeps fastTanh against math.Tanh across the polynomial
-// band, the math.Tanh mid band, and the saturated range, and checks the
+// fastTanh is tanh through the kernel's friction banding: frictionScalar
+// at link velocity x·0.02, where smoothSign(v) = tanh(v/0.02).
+func fastTanh(x float64) float64 {
+	var fr [1]float64
+	frictionScalar([]float64{x / invSmooth}, fr[:])
+	return fr[0]
+}
+
+// TestFastTanh sweeps the friction banding against math.Tanh across the
+// polynomial band, the mid band, and the saturated range, and checks the
 // special values the kernel relies on.
 func TestFastTanh(t *testing.T) {
 	var maxErr float64
@@ -195,8 +203,8 @@ func TestFastTanh(t *testing.T) {
 	}
 }
 
-// TestTanhPolyVel checks the velocity-folded polynomial against the
-// x-domain one across the friction band.
+// TestTanhPolyVel checks the velocity-folded polynomial against math.Tanh
+// across the friction band.
 func TestTanhPolyVel(t *testing.T) {
 	var maxErr float64
 	for i := -12400; i <= 12400; i++ {

@@ -73,81 +73,38 @@ type mitigationRun struct {
 	completed bool    // session finished without E-STOP
 }
 
+// mitigationTrial is attack i's session: its seed and trajectory.
+func mitigationTrial(cfg MitigationConfig, i int) Trial {
+	return Trial{Seed: cfg.BaseSeed + int64(8000+i%37), TrajIdx: i % 2}
+}
+
 // runMitigationOne attacks one session under one guard mode (0 = no
-// guard).
+// guard), straight through with no fork.
 func runMitigationOne(cfg MitigationConfig, mode core.Mode, i int) (mitigationRun, error) {
-	trial := Trial{Seed: cfg.BaseSeed + int64(8000+i%37), TrajIdx: i % 2}
-	ref, err := trial.reference()
+	ref, err := mitigationTrial(cfg, i).reference()
 	if err != nil {
 		return mitigationRun{}, err
 	}
-
-	simCfg := sim.Config{
-		Seed:   trial.Seed,
-		Script: trial.script(),
-		Traj:   trial.trajectory(),
-	}
-	inj, err := inject.NewScenarioB(inject.ScenarioBParams{
-		Value:           cfg.Value,
-		Channel:         i % 3,
-		StartDelayTicks: 500 + 53*(i%31),
-		ActivationTicks: cfg.Duration,
-		Seed:            int64(i),
-	})
-	if err != nil {
-		return mitigationRun{}, err
-	}
-	simCfg.Preload = append(simCfg.Preload, inj)
-
-	if mode != 0 {
-		guard, err := core.NewGuard(core.Config{
-			Thresholds: core.DefaultThresholds(),
-			Mode:       mode,
-		})
-		if err != nil {
-			return mitigationRun{}, err
-		}
-		simCfg.Guards = append(simCfg.Guards, guard)
-	}
-
-	rig, err := sim.New(simCfg)
+	rig, _, err := mitigationSessionRig(cfg, mode, i, cfg.Value)
 	if err != nil {
 		return mitigationRun{}, err
 	}
 	var (
-		rec    mitigationRun
-		step   int
-		halted bool
-		// devRing holds the recent deviation vectors for the windowed
-		// jump measure.
-		devRing [jumpWindowTicks]mathx.Vec3
+		rec mitigationRun
+		st  mitState
 	)
-	rig.Observe(func(si sim.StepInfo) {
-		// Measure only while the system is live: after a halt the
-		// reference keeps moving while the robot is frozen, which is
-		// divergence, not motion.
-		if !halted && step < len(ref) {
-			dev := si.TipTrue.Sub(ref[step])
-			if lag := dev.Norm(); lag > rec.maxLag {
-				rec.maxLag = lag
-			}
-			if step >= jumpWindowTicks {
-				if j := dev.Sub(devRing[step%jumpWindowTicks]).Norm(); j > rec.maxJump {
-					rec.maxJump = j
-				}
-			}
-			devRing[step%jumpWindowTicks] = dev
-		}
-		if si.PLCEStop {
-			halted = true
-		}
-		step++
-	})
+	observeMitigation(rig, ref, &st, &rec)
 	if _, err := rig.Run(0); err != nil {
 		return mitigationRun{}, err
 	}
-	rec.completed = !rig.PLC().EStopped() && rig.Controller().State() != statemachine.EStop
+	rec.completed = mitigationCompleted(rig)
 	return rec, nil
+}
+
+// mitigationCompleted reports whether the session finished the procedure
+// without an E-STOP.
+func mitigationCompleted(rig *sim.Rig) bool {
+	return !rig.PLC().EStopped() && rig.Controller().State() != statemachine.EStop
 }
 
 // mitigationArms lists the compared regimes, in reporting order.
@@ -241,11 +198,11 @@ func observeMitigation(rig *sim.Rig, ref []mathx.Vec3, st *mitState, rec *mitiga
 	})
 }
 
-// mitigationSessionRig builds one attacked session rig with the given
-// injection value (mirrors runMitigationOne's construction) and returns it
-// with its guard (nil for the unguarded arm).
+// mitigationSessionRig builds attack i's session rig with the given
+// injection value and returns it with its guard (nil for the unguarded
+// arm).
 func mitigationSessionRig(cfg MitigationConfig, mode core.Mode, i int, value int16) (*sim.Rig, *core.Guard, error) {
-	trial := Trial{Seed: cfg.BaseSeed + int64(8000+i%37), TrajIdx: i % 2}
+	trial := mitigationTrial(cfg, i)
 	simCfg := sim.Config{
 		Seed:   trial.Seed,
 		Script: trial.script(),
@@ -357,9 +314,8 @@ func RunMitigationSweepRange(values []int16, cfg MitigationConfig, lo, hi int) (
 	groups, err := runGroups(len(arms)*span,
 		func(g int) (mitPrefix, error) {
 			mode, i := arms[g/span].mode, lo+g%span
-			trial := Trial{Seed: cfg.BaseSeed + int64(8000+i%37), TrajIdx: i % 2}
 			p := mitPrefix{rec: &mitigationRun{}, st: &mitState{}}
-			ref, err := trial.reference()
+			ref, err := mitigationTrial(cfg, i).reference()
 			if err != nil {
 				return p, err
 			}
@@ -406,8 +362,7 @@ func RunMitigationSweepRange(values []int16, cfg MitigationConfig, lo, hi int) (
 			}
 			recs[0] = *p.rec
 			for vi, f := range forks {
-				rig := f.Rig()
-				recs[vi].completed = !rig.PLC().EStopped() && rig.Controller().State() != statemachine.EStop
+				recs[vi].completed = mitigationCompleted(f.Rig())
 			}
 			return recs, nil
 		})

@@ -5,8 +5,8 @@
 // density of hundreds to thousands of sessions per core.
 //
 // Sessions are sharded round-robin across per-core workers. Each worker
-// keeps its sessions' plants resident in the lanes of one
-// structure-of-arrays stepper (robot.LaneSet) and drives every control
+// keeps its sessions' plants resident in the lanes of one lockstep
+// batch stepper (robot.LaneSet) and drives every control
 // period as a single lockstep sweep: all sessions' command halves
 // (sim.Rig.StepCommand), one fused prediction sweep for the guards, all
 // supervision halves (sim.Rig.StepSupervise), one fused batch integration

@@ -8,7 +8,7 @@ import (
 	"ravenguard/internal/usb"
 )
 
-// LaneSet keeps plants resident in the lanes of one structure-of-arrays
+// LaneSet keeps plants resident in the lanes of one lockstep batch
 // stepper while they step together tick after tick (the fleet worker,
 // which also runs the campaign fan-outs). A plant's hot state is loaded
 // into its lane once at admission and stays there until the plant parks
@@ -53,9 +53,6 @@ func NewLaneSet(capacity int) (*LaneSet, error) {
 		tau:    make([][kinematics.NumJoints]float64, capacity),
 	}, nil
 }
-
-// Capacity returns the lane capacity.
-func (s *LaneSet) Capacity() int { return len(s.plants) }
 
 // Active returns the number of unbraked plants in the stepping window.
 func (s *LaneSet) Active() int { return s.active }
@@ -175,7 +172,8 @@ func (s *LaneSet) Reconcile() {
 // in lane i driven by dacs[i] (braked plants ignore theirs). The partition
 // must already match the brake states (call Reconcile first). It holds the
 // parked tail on the scalar path, integrates the active window through the
-// shared SoA kernels, and finally publishes each active lane's state
+// batch's lockstep kernels (running each plant's hard-stop and cable checks
+// on its lane in place), and finally publishes each active lane's state
 // vector back to its plant so encoder reads and observers see the fresh
 // pose. Steady-state ticks are allocation-free.
 //
@@ -206,58 +204,15 @@ func (s *LaneSet) Step(dacs [][usb.NumChannels]int16, dt float64) {
 		}
 		s.bs.StepRK4All(sub)
 		for lane := 0; lane < n; lane++ {
-			p := s.plants[lane]
+			p, x := s.plants[lane], s.bs.Lane(lane)
 			p.t += sub
-			laneHardStops(s.bs, lane, p)
-			laneCheckCables(s.bs, lane, p)
+			p.enforceHardStops(x)
+			p.checkCables(x)
 		}
 	}
 	// Publish the fresh state vectors; anchors stay lane-resident until
 	// park or retire.
 	for lane := 0; lane < n; lane++ {
 		s.bs.LaneX(lane, &s.plants[lane].state.X)
-	}
-}
-
-// laneHardStops is enforceHardStops applied to one SoA lane: positions
-// clamp at the mechanical stops with an inelastic collision.
-//
-//ravenlint:noalloc
-func laneHardStops(bs *dynamics.BatchStepper, lane int, p *Plant) {
-	for i := 0; i < kinematics.NumJoints; i++ {
-		lp := bs.Component(4*i + 2)
-		lv := bs.Component(4*i + 3)
-		pos := lp[lane]
-		vel := lv[lane]
-		if pos < p.hard.Min[i] {
-			lp[lane] = p.hard.Min[i]
-			if vel < 0 {
-				lv[lane] = 0
-			}
-		} else if pos > p.hard.Max[i] {
-			lp[lane] = p.hard.Max[i]
-			if vel > 0 {
-				lv[lane] = 0
-			}
-		}
-	}
-}
-
-// laneCheckCables is checkCables applied to one SoA lane: a joint whose
-// cable tension exceeds the break limit snaps.
-//
-//ravenlint:noalloc
-func laneCheckCables(bs *dynamics.BatchStepper, lane int, p *Plant) {
-	for i := 0; i < kinematics.NumJoints; i++ {
-		if p.broken[i] {
-			continue
-		}
-		jc := &p.cable[i]
-		stretch := bs.Component(4 * i)[lane]/jc.ratio - bs.Component(4*i + 2)[lane]
-		stretchVel := bs.Component(4*i + 1)[lane]/jc.ratio - bs.Component(4*i + 3)[lane]
-		tension := jc.k*stretch + jc.b*stretchVel
-		if mathAbs(tension) > jc.breakAt {
-			p.broken[i] = true
-		}
 	}
 }

@@ -96,8 +96,8 @@ type Plant struct {
 
 // cableCheck is the per-joint constants of the cable-tension breakage
 // test, hoisted out of the perturbed parameter set at construction so
-// checkCables and laneCheckCables don't copy the whole Params struct on
-// every 50 us sub-step (a measurable slice of the fleet worker tick).
+// checkCables doesn't copy the whole Params struct on every 50 us
+// sub-step (a measurable slice of the fleet worker tick).
 // Ratio is kept as the divisor — not a reciprocal — so the tension
 // arithmetic stays bit-identical to the documented formula.
 type cableCheck struct {
@@ -203,8 +203,8 @@ func (p *Plant) Step(dacs [usb.NumChannels]int16, dt float64) {
 		p.model.SetTorque(noisy)
 		p.model.StepRK4(&p.state.X, sub)
 		p.t += sub
-		p.enforceHardStops()
-		p.checkCables()
+		p.enforceHardStops(&p.state.X)
+		p.checkCables(&p.state.X)
 	}
 }
 
@@ -257,39 +257,41 @@ func (p *Plant) noisyTau(tau [kinematics.NumJoints]float64) [kinematics.NumJoint
 	return tau
 }
 
-// enforceHardStops clamps link positions at the mechanical stops with an
-// inelastic collision (velocity zeroed into the stop).
+// enforceHardStops clamps the link positions of x, this plant's state
+// vector, at the mechanical stops with an inelastic collision (velocity
+// zeroed into the stop). x is the plant's own state on the scalar path and
+// its batch lane on the lockstep path.
 //
 //ravenlint:noalloc
-func (p *Plant) enforceHardStops() {
+func (p *Plant) enforceHardStops(x *[dynamics.StateDim]float64) {
 	for i := 0; i < kinematics.NumJoints; i++ {
-		pos := p.state.X[4*i+2]
-		vel := p.state.X[4*i+3]
+		pos, vel := x[4*i+2], x[4*i+3]
 		if pos < p.hard.Min[i] {
-			p.state.X[4*i+2] = p.hard.Min[i]
+			x[4*i+2] = p.hard.Min[i]
 			if vel < 0 {
-				p.state.X[4*i+3] = 0
+				x[4*i+3] = 0
 			}
 		} else if pos > p.hard.Max[i] {
-			p.state.X[4*i+2] = p.hard.Max[i]
+			x[4*i+2] = p.hard.Max[i]
 			if vel > 0 {
-				p.state.X[4*i+3] = 0
+				x[4*i+3] = 0
 			}
 		}
 	}
 }
 
-// checkCables snaps a cable whose tension exceeds the break limit.
+// checkCables snaps a cable whose tension in x, this plant's state vector
+// (see enforceHardStops), exceeds the break limit.
 //
 //ravenlint:noalloc
-func (p *Plant) checkCables() {
+func (p *Plant) checkCables(x *[dynamics.StateDim]float64) {
 	for i := 0; i < kinematics.NumJoints; i++ {
 		if p.broken[i] {
 			continue
 		}
 		jc := &p.cable[i]
-		stretch := p.state.X[4*i]/jc.ratio - p.state.X[4*i+2]
-		stretchVel := p.state.X[4*i+1]/jc.ratio - p.state.X[4*i+3]
+		stretch := x[4*i]/jc.ratio - x[4*i+2]
+		stretchVel := x[4*i+1]/jc.ratio - x[4*i+3]
 		tension := jc.k*stretch + jc.b*stretchVel
 		if mathAbs(tension) > jc.breakAt {
 			p.broken[i] = true

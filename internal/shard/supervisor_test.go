@@ -139,12 +139,12 @@ func TestSuperviseConfigValidation(t *testing.T) {
 	spawn := scriptedSpawner(func(w *scriptedWorker, r Range, _ int) { w.frame(r) })
 	onFrame := func(Frame) error { return nil }
 	for name, cfg := range map[string]SupervisorConfig{
-		"no workers":           {Clock: clock, Spawn: spawn, OnFrame: onFrame},
-		"no clock":             {Workers: 1, Spawn: spawn, OnFrame: onFrame},
-		"no spawn":             {Workers: 1, Clock: clock, OnFrame: onFrame},
-		"no onframe":           {Workers: 1, Clock: clock, Spawn: spawn},
-		"deadline needs tick":  {Workers: 1, Clock: clock, Spawn: spawn, OnFrame: onFrame, Deadline: 1},
-		"backoff needs tick":   {Workers: 1, Clock: clock, Spawn: spawn, OnFrame: onFrame, Backoff: 1},
+		"no workers":          {Clock: clock, Spawn: spawn, OnFrame: onFrame},
+		"no clock":            {Workers: 1, Spawn: spawn, OnFrame: onFrame},
+		"no spawn":            {Workers: 1, Clock: clock, OnFrame: onFrame},
+		"no onframe":          {Workers: 1, Clock: clock, Spawn: spawn},
+		"deadline needs tick": {Workers: 1, Clock: clock, Spawn: spawn, OnFrame: onFrame, Deadline: 1},
+		"backoff needs tick":  {Workers: 1, Clock: clock, Spawn: spawn, OnFrame: onFrame, Backoff: 1},
 	} {
 		if _, err := Supervise(cfg); err == nil {
 			t.Errorf("%s: config accepted", name)
